@@ -7,6 +7,7 @@ import (
 	"log"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -194,12 +195,8 @@ func (a *StationAgent) dialSession(ctx context.Context) (*session, error) {
 		done:         make(chan struct{}),
 		hbStop:       make(chan struct{}),
 	}
-	if err := s.write(&proto.Hello{Version: proto.Version, StationID: a.ID, TxCapable: a.TxCapable, Name: a.Name}); err != nil {
-		conn.Close()
-		return nil, err
-	}
 	go s.readLoop()
-	resp, err := s.await()
+	resp, err := s.roundTrip(&proto.Hello{Version: proto.Version, StationID: a.ID, TxCapable: a.TxCapable, Name: a.Name})
 	if err != nil {
 		s.fail(err)
 		return nil, err
@@ -524,31 +521,30 @@ func (s *session) heartbeats(every time.Duration) {
 	}
 }
 
-// await registers a response slot and blocks for the next non-broadcast
-// frame.
-func (s *session) await() (proto.Message, error) {
+// roundTrip sends a request and blocks for the next non-broadcast frame.
+// The response slot is registered before the request is written, so a
+// reply that arrives before the write returns still finds it. Requests
+// are serialized by the agent's reqMu, so slots queue in request order.
+func (s *session) roundTrip(m proto.Message) (proto.Message, error) {
 	ch := make(chan proto.Message, 1)
 	s.mu.Lock()
 	if s.dead {
-		err := s.readErr
 		s.mu.Unlock()
-		if err == nil {
-			err = errors.New("backend: connection closed")
-		}
-		return nil, err
+		return nil, s.err()
 	}
 	s.pending = append(s.pending, ch)
 	s.mu.Unlock()
+	if err := s.write(m); err != nil {
+		s.mu.Lock()
+		if k := slices.Index(s.pending, ch); k >= 0 {
+			s.pending = slices.Delete(s.pending, k, k+1)
+		}
+		s.mu.Unlock()
+		return nil, err
+	}
 	msg, ok := <-ch
 	if !ok {
 		return nil, s.err()
 	}
 	return msg, nil
-}
-
-func (s *session) roundTrip(m proto.Message) (proto.Message, error) {
-	if err := s.write(m); err != nil {
-		return nil, err
-	}
-	return s.await()
 }

@@ -1,10 +1,12 @@
 package backend
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -272,4 +274,113 @@ func TestConnectFailsFastOnVersionMismatch(t *testing.T) {
 		t.Fatalf("connect error = %v, want proto.ErrVersion", err)
 	}
 	a.Close()
+}
+
+// replyInWriteConn is a connection whose peer answers inside Write: the
+// reply reaches the reader before Write returns, and Write waits until
+// the read loop has consumed it and come back for the next frame — the
+// fastest a backend can answer.
+type replyInWriteConn struct {
+	net.Conn // unused; the session only calls the methods below
+	reply    proto.Message
+
+	mu         sync.Mutex
+	cond       *sync.Cond
+	buf        bytes.Buffer
+	emptyReads int // Read calls that began with nothing buffered
+	closed     bool
+}
+
+func newReplyInWriteConn(reply proto.Message) *replyInWriteConn {
+	c := &replyInWriteConn{reply: reply}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+func (c *replyInWriteConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.buf.Len() == 0 {
+		c.emptyReads++
+		c.cond.Broadcast()
+	}
+	for c.buf.Len() == 0 && !c.closed {
+		c.cond.Wait()
+	}
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	return c.buf.Read(p)
+}
+
+func (c *replyInWriteConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	before := c.emptyReads
+	if err := proto.Write(&c.buf, c.reply); err != nil {
+		return 0, err
+	}
+	c.cond.Broadcast()
+	for c.emptyReads == before && !c.closed {
+		c.cond.Wait()
+	}
+	return len(p), nil
+}
+
+func (c *replyInWriteConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *replyInWriteConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *replyInWriteConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestRoundTripReplyBeforeWriteReturns: a reply that is read and
+// dispatched before the request's Write returns must still reach the
+// caller. With the response slot registered only after the write, the
+// reply is dropped as unsolicited and the caller blocks.
+func TestRoundTripReplyBeforeWriteReturns(t *testing.T) {
+	conn := newReplyInWriteConn(&proto.Resume{StationID: 3, LastSeq: 41})
+	a := &StationAgent{ID: 3, Logf: t.Logf}
+	s := &session{
+		a:            a,
+		conn:         conn,
+		readTimeout:  time.Minute,
+		writeTimeout: time.Minute,
+		done:         make(chan struct{}),
+		hbStop:       make(chan struct{}),
+	}
+	go s.readLoop()
+	defer func() {
+		s.fail(errors.New("test done"))
+		<-s.done
+	}()
+
+	type result struct {
+		msg proto.Message
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		msg, err := s.roundTrip(&proto.Resume{StationID: 3})
+		got <- result{msg, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil {
+			t.Fatalf("roundTrip: %v", r.err)
+		}
+		rs, ok := r.msg.(*proto.Resume)
+		if !ok || rs.LastSeq != 41 {
+			t.Fatalf("roundTrip reply = %#v, want Resume with LastSeq 41", r.msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("roundTrip still blocked: the reply was dispatched before its response slot existed")
+	}
 }

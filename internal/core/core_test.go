@@ -7,6 +7,7 @@ import (
 
 	"dgs/internal/astro"
 	"dgs/internal/dataset"
+	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/match"
 	"dgs/internal/sgp4"
@@ -40,21 +41,30 @@ func smallWorld(t testing.TB, nSat, nGs int) (*Scheduler, []SatSnapshot) {
 	return sched, sats
 }
 
+// edgeLook recomputes the look angles of a visible edge at t from the
+// scheduler's position cache.
+func edgeLook(sched *Scheduler, sats []SatSnapshot, t time.Time, e VisibleEdge) frames.LookAngles {
+	pos := sched.positionCache(sats).At(t)[e.Sat].Pos
+	return frames.Look(sched.Stations[e.Station].Location, pos)
+}
+
 func TestVisibilityBasics(t *testing.T) {
 	sched, sats := smallWorld(t, 30, 60)
-	edges := sched.Visibility(sats, epoch.Add(time.Hour), 0)
+	at := epoch.Add(time.Hour)
+	edges := sched.Visibility(sats, at, 0)
 	if len(edges) == 0 {
 		t.Fatal("no visible edges with 30 sats and 60 stations")
 	}
 	for _, e := range edges {
-		if e.Geometry.ElevationRad <= 0 {
-			t.Fatalf("edge below horizon: %.2f rad", e.Geometry.ElevationRad)
+		look := edgeLook(sched, sats, at, e)
+		if look.ElevationRad <= 0 {
+			t.Fatalf("edge below horizon: %.2f rad", look.ElevationRad)
 		}
 		if e.RateBps <= 0 {
 			t.Fatal("edge with zero rate")
 		}
-		if e.Geometry.RangeKm > 3500 || e.Geometry.RangeKm < 300 {
-			t.Fatalf("edge range %.0f km implausible", e.Geometry.RangeKm)
+		if look.RangeKm > 3500 || look.RangeKm < 300 {
+			t.Fatalf("edge range %.0f km implausible", look.RangeKm)
 		}
 	}
 }
@@ -96,7 +106,7 @@ func TestVisibilityElevationMask(t *testing.T) {
 		t.Fatal("raising the mask created edges")
 	}
 	for _, e := range strict {
-		if e.Geometry.ElevationRad <= 20*astro.Deg2Rad {
+		if edgeLook(sched, sats, at, e).ElevationRad <= 20*astro.Deg2Rad {
 			t.Fatal("edge below the raised mask")
 		}
 	}

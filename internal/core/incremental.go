@@ -259,8 +259,7 @@ func (ip *IncrementalPlanner) Replan() *Plan {
 		ip.lastIncr = false
 		return ip.plan
 	}
-	// A resized network renumbers every packed pair key and rebuilds the
-	// attenuation memo the cached edges' rates came from; take the full
+	// A resized network renumbers every packed pair key; take the full
 	// rebuild path rather than diffing across incompatible keyspaces.
 	if ip.netResized {
 		ip.rebuildAll()

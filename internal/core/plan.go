@@ -301,17 +301,10 @@ func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 }
 
 // ensureCondScratch sizes the per-worker condition scratch for a fan-out
-// of the given width, giving each worker a private front cache over the
-// shared attenuation memo.
+// of the given width.
 func (s *Scheduler) ensureCondScratch(workers int) {
-	memo, _ := s.rateMemo()
 	for len(s.condScr) < workers {
 		s.condScr = append(s.condScr, condScratch{})
-	}
-	for w := 0; w < workers; w++ {
-		if s.condScr[w].view == nil {
-			s.condScr[w].view = memo.View()
-		}
 	}
 }
 

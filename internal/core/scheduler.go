@@ -102,19 +102,17 @@ type Scheduler struct {
 	// visibility only examines stations near each satellite's ground
 	// track (the same index the pass predictor builds).
 	grid *spatial.Grid
-	// stGeo is the per-station fixed geometry (SEZ basis, effective
-	// terminal, elevation mask) precomputed alongside grid so the
-	// visibility inner loop never redoes the geodetic→ECEF conversion or
-	// the beamforming power split per candidate edge.
+	// stGeo is the per-station fixed geometry (SEZ basis and link-table
+	// site) precomputed alongside grid so the visibility inner loop never
+	// redoes the geodetic→ECEF conversion or the station's link terms per
+	// candidate edge.
 	stGeo []stationGeom
+	// table is the link table for Radio: its ITU terms are precomputed
+	// once and shared read-only by every worker across epochs.
+	table *linkbudget.Table
 	// pos is the private fallback position cache used when Positions is
 	// nil; rebuilt whenever the snapshot population changes.
 	pos *poscache.Cache
-	// memo caches the ITU-R attenuation chain for Radio (quantized
-	// elevation and weather), shared across epochs; memoPath maps station
-	// index → registered path handle.
-	memo     *linkbudget.AttenMemo
-	memoPath []int
 	// fcMu guards fcCache, the per-instant forecast components (truth and
 	// error-field samples per station). Both are lead-independent, so
 	// overlapping epochs revisiting an instant blend cached samples
@@ -134,9 +132,9 @@ func (s *Scheduler) PlanVersion() int { return s.nextVersion }
 func (s *Scheduler) SetPlanVersion(v int) { s.nextVersion = v }
 
 // SetForecast replaces the weather forecast and drops every cached
-// per-instant forecast component (they sample the old fields). The
-// attenuation memo survives: its entries are pure functions of the
-// quantized conditions, so new weather simply probes new keys.
+// per-instant forecast component (they sample the old fields). The link
+// table survives: it depends on the radio alone, and new weather simply
+// reads other rain buckets.
 func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 	s.Forecast = fc
 	s.fcMu.Lock()
@@ -146,15 +144,14 @@ func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 
 // SetStations replaces the ground network and drops every lazily built
 // structure derived from it: the spatial cell index and per-station
-// geometry, the attenuation memo's path registrations, the per-worker
-// memo views fronting it, cached forecast components (sized to the old
-// station count), and the pass predictor (bound to the old network).
-// The caller must not be running PlanEpoch concurrently.
+// geometry with its link-table sites (rain-layer depth and terminal
+// terms), cached forecast components (sized to the old station count),
+// and the pass predictor (bound to the old network). The radio's link
+// table is kept. The caller must not be running PlanEpoch concurrently.
 func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
 	s.mu.Lock()
 	s.grid, s.stGeo = nil, nil
-	s.memo, s.memoPath = nil, nil
 	s.mu.Unlock()
 	s.fcMu.Lock()
 	s.fcCache = nil
@@ -164,49 +161,41 @@ func (s *Scheduler) SetStations(net station.Network) {
 }
 
 // stationGeom is the fixed per-station geometry the visibility inner loop
-// needs: everything here derives from the station location only, so it is
-// computed once and shared read-only across the worker pool. Mutable
-// station fields (constraint bitmap, elevation mask, beam count) are still
-// read live from the station each evaluation.
+// needs: everything here derives from the station location and the
+// radio, so it is computed once and shared read-only across the worker
+// pool. Mutable station fields (constraint bitmap, elevation mask, beam
+// count) are still read live from the station each evaluation; the site
+// caches the terminal it was built with and re-derives the terms of any
+// other.
 type stationGeom struct {
-	topo   frames.Topocentric
-	latRad float64
-	altKm  float64
+	topo frames.Topocentric
+	site linkbudget.Site
 }
 
-func (s *Scheduler) stationIndex() (*spatial.Grid, []stationGeom) {
+// stationIndex returns the spatial index, per-station geometry and link
+// table, building whichever is missing (the table again if Radio
+// changed).
+func (s *Scheduler) stationIndex() (*spatial.Grid, []stationGeom, *linkbudget.Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.table == nil || s.table.Radio() != s.Radio {
+		s.table = linkbudget.NewTable(s.Radio)
+		s.grid, s.stGeo = nil, nil
+	}
 	if s.grid == nil {
 		grid := spatial.NewGrid()
 		geo := make([]stationGeom, len(s.Stations))
 		for j, gs := range s.Stations {
 			grid.Add(int32(j), gs.Location.LatRad, gs.Location.LonRad)
 			geo[j] = stationGeom{
-				topo:   frames.NewTopocentric(gs.Location),
-				latRad: gs.Location.LatRad,
-				altKm:  gs.Location.AltKm,
+				topo: frames.NewTopocentric(gs.Location),
+				site: s.table.Site(gs.Location.LatRad, gs.Location.AltKm, gs.EffectiveTerminal()),
 			}
 		}
 		s.grid = grid
 		s.stGeo = geo
 	}
-	return s.grid, s.stGeo
-}
-
-// rateMemo returns the attenuation memo for the scheduler's radio plus
-// the per-station path handles.
-func (s *Scheduler) rateMemo() (*linkbudget.AttenMemo, []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.memo == nil {
-		s.memo = linkbudget.NewAttenMemo(s.Radio)
-		s.memoPath = make([]int, len(s.Stations))
-		for j, gs := range s.Stations {
-			s.memoPath[j] = s.memo.Register(gs.Location.LatRad, gs.Location.AltKm)
-		}
-	}
-	return s.memo, s.memoPath
+	return s.grid, s.stGeo, s.table
 }
 
 // fcComponents returns the per-station forecast components (truth and

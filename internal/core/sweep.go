@@ -11,24 +11,21 @@ import (
 	"dgs/internal/weather"
 )
 
-// VisibleEdge is a feasible link with its geometry and predicted rate.
+// VisibleEdge is a feasible link with its predicted rate.
 type VisibleEdge struct {
 	Sat, Station int
-	Geometry     linkbudget.Geometry
 	RateBps      float64
 }
 
 // condScratch is the per-worker evaluation scratch: the per-station
-// blended weather conditions for one (instant, lead) evaluation, the
-// candidate buffer the spatial index appends into, plus the worker's
-// private front cache over the shared attenuation memo. The condition
-// buffers are reset per slot; the candidate buffer and memo view persist
-// across every slot (and epoch) the worker processes.
+// blended weather conditions for one (instant, lead) evaluation and the
+// candidate buffer the spatial index appends into. The condition buffers
+// are reset per slot; the candidate buffer persists across every slot
+// (and epoch) the worker processes.
 type condScratch struct {
 	cond  []linkbudget.Conditions
 	known []bool
 	cand  []int32
-	view  *linkbudget.MemoView
 }
 
 func (cs *condScratch) reset(n int) {
@@ -50,24 +47,11 @@ func (cs *condScratch) reset(n int) {
 type evalCtx struct {
 	s        *Scheduler
 	stGeo    []stationGeom
-	memo     *linkbudget.AttenMemo
-	memoPath []int
+	table    *linkbudget.Table
 	maxRange float64
 	comp     []weather.Sample
 	lead     time.Duration
 	cs       *condScratch
-}
-
-// rateAt serves the forecast rate through the worker's private memo view
-// when it has one (PlanEpoch workers), else through the shared locked
-// memo (one-shot Visibility calls). Both return the identical value: a
-// view only fronts memo entries, which are pure functions of the
-// quantized inputs.
-func (ec *evalCtx) rateAt(j int, t linkbudget.Terminal, geo linkbudget.Geometry, w linkbudget.Conditions) float64 {
-	if v := ec.cs.view; v != nil {
-		return v.RateBpsAt(ec.memoPath[j], t, geo, w)
-	}
-	return ec.memo.RateBpsAt(ec.memoPath[j], t, geo, w)
 }
 
 func (ec *evalCtx) condFor(j int) linkbudget.Conditions {
@@ -95,21 +79,15 @@ func (ec *evalCtx) eval(dst []VisibleEdge, i, j int, ecef frames.Vec3) []Visible
 	if d.Norm() > ec.maxRange {
 		return dst
 	}
-	look := st.topo.Look(ecef)
-	if look.ElevationRad <= gs.MinElevationRad {
+	el, rangeKm := st.topo.Elevation(ecef)
+	if el <= gs.MinElevationRad {
 		return dst
 	}
-	geo := linkbudget.Geometry{
-		RangeKm:         look.RangeKm,
-		ElevationRad:    look.ElevationRad,
-		StationLatRad:   st.latRad,
-		StationHeightKm: st.altKm,
-	}
-	rate := ec.rateAt(j, gs.EffectiveTerminal(), geo, ec.condFor(j))
+	rate := ec.table.RateBps(&st.site, gs.EffectiveTerminal(), rangeKm, el, ec.condFor(j))
 	if rate <= 0 {
 		return dst
 	}
-	return append(dst, VisibleEdge{Sat: i, Station: j, Geometry: geo, RateBps: rate})
+	return append(dst, VisibleEdge{Sat: i, Station: j, RateBps: rate})
 }
 
 // Visibility computes the feasible edges at time t: satellite above the
@@ -121,7 +99,7 @@ func (ec *evalCtx) eval(dst []VisibleEdge, i, j int, ecef frames.Vec3) []Visible
 //
 // Visibility is safe for concurrent use (PlanEpoch invokes its internals
 // from a worker pool): satellite positions come from the shared
-// thread-safe position cache and the attenuation memo is lock-protected.
+// thread-safe position cache and the link table is immutable.
 // It always runs the exhaustive sweep; only PlanEpoch consults the
 // pass-window predictor.
 func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Duration) []VisibleEdge {
@@ -139,11 +117,10 @@ func (s *Scheduler) visibility(sats []SatSnapshot, positions *poscache.Cache, t 
 // satellite against the stations near its ground track (the exhaustive
 // path: no pass-window filtering).
 func (s *Scheduler) visibilitySweep(dst []VisibleEdge, sats []SatSnapshot, positions *poscache.Cache, t time.Time, lead time.Duration, cs *condScratch) []VisibleEdge {
-	idx, stGeo := s.stationIndex()
-	memo, memoPath := s.rateMemo()
+	idx, stGeo, table := s.stationIndex()
 	cs.reset(len(s.Stations))
 	ec := evalCtx{
-		s: s, stGeo: stGeo, memo: memo, memoPath: memoPath,
+		s: s, stGeo: stGeo, table: table,
 		maxRange: s.maxRange(),
 		// Forecast weather per station: the lead-independent field
 		// samples come from the shared per-instant cache (hot across
@@ -180,11 +157,10 @@ func (s *Scheduler) visibilityPairs(dst []VisibleEdge, positions *poscache.Cache
 	if len(pairs) == 0 {
 		return dst
 	}
-	_, stGeo := s.stationIndex()
-	memo, memoPath := s.rateMemo()
+	_, stGeo, table := s.stationIndex()
 	cs.reset(len(s.Stations))
 	ec := evalCtx{
-		s: s, stGeo: stGeo, memo: memo, memoPath: memoPath,
+		s: s, stGeo: stGeo, table: table,
 		maxRange: s.maxRange(),
 		comp:     s.fcComponents(t), lead: lead, cs: cs,
 	}

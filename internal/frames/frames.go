@@ -244,6 +244,20 @@ func (tp Topocentric) Look(targetECEF Vec3) LookAngles {
 	}
 }
 
+// Elevation returns Look's elevation (radians) and slant range (km)
+// without the azimuth, for callers that only test visibility. It repeats
+// Look's arithmetic, so the results are bit-identical; the SEZ rotation
+// is written out in both rather than shared, because the compiler does
+// not inline it and the extra call showed in the pass scan.
+func (tp Topocentric) Elevation(targetECEF Vec3) (elRad, rangeKm float64) {
+	rho := targetECEF.Sub(tp.ECEF)
+	s := tp.sinLat*tp.cosLon*rho.X + tp.sinLat*tp.sinLon*rho.Y - tp.cosLat*rho.Z
+	e := -tp.sinLon*rho.X + tp.cosLon*rho.Y
+	z := tp.cosLat*tp.cosLon*rho.X + tp.cosLat*tp.sinLon*rho.Y + tp.sinLat*rho.Z
+	rng := math.Sqrt(s*s + e*e + z*z)
+	return math.Asin(astro.Clamp(z/rng, -1, 1)), rng
+}
+
 // GreatCircleKm returns the great-circle surface distance between two
 // geodetic points in kilometres (spherical approximation, haversine form —
 // accurate to ~0.5% which is ample for weather-cell lookups).

@@ -215,3 +215,26 @@ func TestTEMEVelToECEFEquatorialGeo(t *testing.T) {
 		t.Fatalf("ECEF-fixed point should have ~0 ECEF velocity, got %v", v)
 	}
 }
+
+// TestElevationMatchesLook: the elevation-only look returns Look's
+// elevation and range bit for bit, above and below the horizon.
+func TestElevationMatchesLook(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for k := 0; k < 20000; k++ {
+		obs := NewTopocentric(Geodetic{
+			LatRad: (rng.Float64() - 0.5) * math.Pi,
+			LonRad: (rng.Float64()*2 - 1) * math.Pi,
+			AltKm:  rng.Float64() * 4,
+		})
+		target := Vec3{
+			X: (rng.Float64()*2 - 1) * 9000,
+			Y: (rng.Float64()*2 - 1) * 9000,
+			Z: (rng.Float64()*2 - 1) * 9000,
+		}
+		look := obs.Look(target)
+		el, rangeKm := obs.Elevation(target)
+		if math.Float64bits(el) != math.Float64bits(look.ElevationRad) || math.Float64bits(rangeKm) != math.Float64bits(look.RangeKm) {
+			t.Fatalf("target %v: Elevation (%v, %v), Look (%v, %v)", target, el, rangeKm, look.ElevationRad, look.RangeKm)
+		}
+	}
+}

@@ -110,6 +110,37 @@ func RainKAlpha(freqGHz float64, pol Polarization, elevRad float64) (k, alpha fl
 	}
 }
 
+// Coefficients are the frequency- and polarization-dependent constants of
+// the attenuation chain: the P.838-3 rain regression and the P.840 cloud
+// coefficient. They cost a few dozen transcendentals yet never change for
+// a given radio, so callers that evaluate many paths compute them once.
+type Coefficients struct {
+	// K and Alpha are the P.838-3 rain coefficients.
+	K, Alpha float64
+	// Kl is the P.840 cloud coefficient at 273.15 K.
+	Kl float64
+}
+
+// NewCoefficients evaluates the chain's constants for a carrier frequency
+// (GHz) and polarization.
+func NewCoefficients(freqGHz float64, pol Polarization) Coefficients {
+	k, alpha := RainKAlpha(freqGHz, pol, 0)
+	return Coefficients{K: k, Alpha: alpha, Kl: CloudSpecificCoefficient(freqGHz, cloudTempK)}
+}
+
+// Gamma returns γ_R = k·R^α in dB/km for a positive rain rate R (mm/h),
+// P.838-3 Eq. 1.
+func (c Coefficients) Gamma(rainMmH float64) float64 {
+	return c.K * math.Pow(rainMmH, c.Alpha)
+}
+
+// ReductionLengthKm returns the horizontal reduction length
+// L_0 = 35·e^(−0.015R) km of the pre-map P.618 method, with R capped at
+// 100 mm/h.
+func ReductionLengthKm(rainMmH float64) float64 {
+	return 35 * math.Exp(-0.015*math.Min(rainMmH, 100))
+}
+
 // RainSpecificAttenuation returns γ_R = k·R^α in dB/km for rain rate R
 // (mm/h) at the given frequency and polarization (P.838-3 Eq. 1).
 func RainSpecificAttenuation(freqGHz, rainMmH float64, pol Polarization, elevRad float64) float64 {
@@ -117,7 +148,7 @@ func RainSpecificAttenuation(freqGHz, rainMmH float64, pol Polarization, elevRad
 		return 0
 	}
 	k, alpha := RainKAlpha(freqGHz, pol, elevRad)
-	return k * math.Pow(rainMmH, alpha)
+	return Coefficients{K: k, Alpha: alpha}.Gamma(rainMmH)
 }
 
 // RainHeightKm returns the mean rain height above sea level for a latitude
@@ -149,6 +180,72 @@ type SlantPath struct {
 // minElevation keeps the cosecant geometry bounded near the horizon.
 const minElevationRad = 0.5 * astro.Deg2Rad
 
+// RainDepthKm returns the depth of the rain layer above a station, the
+// mean rain height at its latitude minus its altitude (km). Non-positive
+// depth means the station sits above the rain.
+func RainDepthKm(latRad, heightKm float64) float64 {
+	return RainHeightKm(latRad) - heightKm
+}
+
+// Slant is a path reduced to the geometry terms the chain reads: the sine
+// and cosine of the elevation, clamped at 0.5°, and the rain-layer depth.
+type Slant struct {
+	SinEl, CosEl float64
+	DepthKm      float64
+}
+
+// NewSlant evaluates the geometry terms for an elevation (radians) and a
+// rain-layer depth (km, see RainDepthKm).
+func NewSlant(elevRad, depthKm float64) Slant {
+	sinEl, cosEl := math.Sincos(math.Max(elevRad, minElevationRad))
+	return Slant{SinEl: sinEl, CosEl: cosEl, DepthKm: depthKm}
+}
+
+func (p SlantPath) slant() Slant {
+	return NewSlant(p.ElevationRad, RainDepthKm(p.LatitudeRad, p.StationHeightKm))
+}
+
+// rain is the effective-path-length rain attenuation (see
+// RainPathAttenuation) for precomputed γ_R and L_0.
+func (s Slant) rain(gamma, l0 float64) float64 {
+	ls := s.DepthKm / s.SinEl
+	r := 1 / (1 + ls*s.CosEl/l0)
+	return gamma * ls * r
+}
+
+// cloud is L·K_l/sin θ.
+func (s Slant) cloud(columnarKgM2, kl float64) float64 {
+	return columnarKgM2 * kl / s.SinEl
+}
+
+// gas is the zenith gaseous attenuation scaled by the cosecant.
+func (s Slant) gas() float64 {
+	return GasZenithDB / s.SinEl
+}
+
+// Total sums rain, cloud and gas attenuation in dB: the one implementation
+// of the chain, behind TotalAttenuation and behind callers that keep the
+// coefficients and per-path terms in tables. The rain term is on for a
+// positive rain rate and a station below the rain layer, and then reads
+// gamma = c.Gamma(rainMmH) and l0 = ReductionLengthKm(rainMmH); the cloud
+// term is on for positive liquid water.
+func (c Coefficients) Total(s Slant, rainMmH, gamma, l0, cloudKgM2 float64) float64 {
+	var rain, cloud float64
+	if rainOn(s, rainMmH) {
+		rain = s.rain(gamma, l0)
+	}
+	if !(cloudKgM2 <= 0) {
+		cloud = s.cloud(cloudKgM2, c.Kl)
+	}
+	return rain + cloud + s.gas()
+}
+
+// rainOn reports whether the rain term applies. The negated comparisons
+// keep a NaN input flowing into the result rather than reading as dry.
+func rainOn(s Slant, rainMmH float64) bool {
+	return !(rainMmH <= 0) && !(s.DepthKm <= 0)
+}
+
 // RainPathAttenuation returns the total rain attenuation in dB along the
 // slant path for the given rain rate, using the effective-path-length
 // horizontal reduction factor of the pre-map P.618 method:
@@ -156,21 +253,11 @@ const minElevationRad = 0.5 * astro.Deg2Rad
 //	L_s = (h_R − h_s)/sin θ,  r = 1/(1 + L_s·cosθ/L_0),  L_0 = 35·e^(−0.015R)
 //	A = γ_R · L_s · r
 func RainPathAttenuation(p SlantPath, freqGHz, rainMmH float64, pol Polarization) float64 {
-	if rainMmH <= 0 {
+	s := p.slant()
+	if !rainOn(s, rainMmH) {
 		return 0
 	}
-	el := math.Max(p.ElevationRad, minElevationRad)
-	hr := RainHeightKm(p.LatitudeRad)
-	dh := hr - p.StationHeightKm
-	if dh <= 0 {
-		return 0 // station above the rain layer
-	}
-	sinEl, cosEl := math.Sincos(el)
-	ls := dh / sinEl
-	l0 := 35 * math.Exp(-0.015*math.Min(rainMmH, 100))
-	r := 1 / (1 + ls*cosEl/l0)
-	gamma := RainSpecificAttenuation(freqGHz, rainMmH, pol, el)
-	return gamma * ls * r
+	return s.rain(RainSpecificAttenuation(freqGHz, rainMmH, pol, 0), ReductionLengthKm(rainMmH))
 }
 
 // waterPermittivity returns the complex permittivity (ε′, ε″) of liquid
@@ -197,6 +284,9 @@ func CloudSpecificCoefficient(freqGHz, tempK float64) float64 {
 	return 0.819 * freqGHz / (eDoublePrime * (1 + eta*eta))
 }
 
+// cloudTempK is the standard cloud temperature of P.840.
+const cloudTempK = 273.15
+
 // CloudPathAttenuation returns cloud attenuation in dB for a columnar
 // liquid-water content L (kg/m²) along the slant path (P.840 Eq. A = L·K_l/sinθ).
 // The standard cloud temperature of 273.15 K is assumed.
@@ -204,9 +294,7 @@ func CloudPathAttenuation(p SlantPath, freqGHz, columnarKgM2 float64) float64 {
 	if columnarKgM2 <= 0 {
 		return 0
 	}
-	el := math.Max(p.ElevationRad, minElevationRad)
-	kl := CloudSpecificCoefficient(freqGHz, 273.15)
-	return columnarKgM2 * kl / math.Sin(el)
+	return p.slant().cloud(columnarKgM2, CloudSpecificCoefficient(freqGHz, cloudTempK))
 }
 
 // GasZenithDB is the clear-air zenith gaseous attenuation used by
@@ -217,13 +305,21 @@ const GasZenithDB = 0.25
 // GasPathAttenuation returns a simplified P.676 gaseous attenuation: the
 // zenith value scaled by the cosecant of elevation.
 func GasPathAttenuation(p SlantPath) float64 {
-	el := math.Max(p.ElevationRad, minElevationRad)
-	return GasZenithDB / math.Sin(el)
+	return p.slant().gas()
 }
 
 // TotalAttenuation sums rain, cloud, and gas attenuation in dB for a path.
+// It evaluates only the coefficients the weather switches on.
 func TotalAttenuation(p SlantPath, freqGHz, rainMmH, cloudKgM2 float64, pol Polarization) float64 {
-	return RainPathAttenuation(p, freqGHz, rainMmH, pol) +
-		CloudPathAttenuation(p, freqGHz, cloudKgM2) +
-		GasPathAttenuation(p)
+	s := p.slant()
+	var c Coefficients
+	var gamma, l0 float64
+	if rainOn(s, rainMmH) {
+		c.K, c.Alpha = RainKAlpha(freqGHz, pol, 0)
+		gamma, l0 = c.Gamma(rainMmH), ReductionLengthKm(rainMmH)
+	}
+	if !(cloudKgM2 <= 0) {
+		c.Kl = CloudSpecificCoefficient(freqGHz, cloudTempK)
+	}
+	return c.Total(s, rainMmH, gamma, l0, cloudKgM2)
 }

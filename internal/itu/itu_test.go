@@ -2,6 +2,7 @@ package itu
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +244,24 @@ func TestLowFrequencyRainNegligible(t *testing.T) {
 		x := RainPathAttenuation(p, 8.2, 50, Circular)
 		if a > x/20 {
 			t.Errorf("%g GHz attenuation %.3f dB not ≪ X-band %.1f dB", f, a, x)
+		}
+	}
+}
+
+// TestSincosMatchesSin pins what NewSlant's single Sincos relies on: the
+// cloud and gas terms once took their sine from math.Sin, and it agrees
+// bitwise with the sine from math.Sincos, at every elevation bucket of
+// the link table and at random angles.
+func TestSincosMatchesSin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 200000; k++ {
+		x := float64(k) * 1e-4
+		if x > math.Pi/2+1e-3 {
+			x = rng.Float64() * math.Pi
+		}
+		s, _ := math.Sincos(x)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(x)) {
+			t.Fatalf("Sin(%v) = %v, Sincos gives %v", x, math.Sin(x), s)
 		}
 	}
 }

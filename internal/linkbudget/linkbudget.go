@@ -152,14 +152,21 @@ func EsN0dB(r Radio, t Terminal, g Geometry, w Conditions) float64 {
 		LatitudeRad:     g.StationLatRad,
 	}
 	atten := itu.TotalAttenuation(path, r.FreqGHz, w.RainMmH, w.CloudKgM2, r.Polarization)
-	return esN0WithAtten(r, t, g, atten)
+	gain, noise := terminalDB(r, t)
+	return esN0(r, g.RangeKm, atten, gain, noise)
 }
 
-// esN0WithAtten finishes the Es/N0 budget once the weather attenuation is
-// known (exact or memoized); everything else is cheap arithmetic.
-func esN0WithAtten(r Radio, t Terminal, g Geometry, attenDB float64) float64 {
-	noiseDBW := astro.BoltzmannDBW + astro.DB(t.NoiseTempK) + astro.DB(r.SymbolRateHz)
-	return r.EIRPdBW - FSPLdB(g.RangeKm, r.FreqGHz) - attenDB + t.GainDBi(r.FreqGHz) - noiseDBW
+// terminalDB returns a terminal's receive gain (dBi) and its noise power
+// per channel, 10·log10(k·T·Rs) (dBW), at the radio's frequency and
+// symbol rate.
+func terminalDB(r Radio, t Terminal) (gainDBi, noiseDBW float64) {
+	return t.GainDBi(r.FreqGHz), astro.BoltzmannDBW + astro.DB(t.NoiseTempK) + astro.DB(r.SymbolRateHz)
+}
+
+// esN0 finishes the Es/N0 budget once the weather attenuation and the
+// terminal terms are known; only the path loss is left to evaluate.
+func esN0(r Radio, rangeKm, attenDB, gainDBi, noiseDBW float64) float64 {
+	return r.EIRPdBW - FSPLdB(rangeKm, r.FreqGHz) - attenDB + gainDBi - noiseDBW
 }
 
 // RateBps returns the achievable information rate in bits/s across all of
@@ -170,7 +177,7 @@ func RateBps(r Radio, t Terminal, g Geometry, w Conditions) float64 {
 }
 
 // rateFromEsN0 applies DVB-S2 ACM selection and the aggregate cap to a
-// symbol SNR (the shared tail of the exact and memoized rate paths).
+// symbol SNR (the shared tail of the exact and table rate paths).
 func rateFromEsN0(r Radio, t Terminal, esn0 float64) float64 {
 	per := dvbs2.Rate(esn0, t.ImplMarginDB, r.SymbolRateHz)
 	total := per * float64(max(t.Channels, 1))

@@ -60,6 +60,9 @@ type World struct {
 	positions  *poscache.Cache
 	sched      *core.Scheduler
 	txStations station.Network
+	// txTopo holds each transmit station's precomputed SEZ basis, aligned
+	// with txStations.
+	txTopo []frames.Topocentric
 
 	// Backend state: per satellite, chunks received on the ground and the
 	// subset already acked to the satellite.
@@ -179,6 +182,10 @@ func newWorld(cfg Config) (*World, error) {
 	w.nextPlan = cfg.Start
 	w.nextDayMark = cfg.Start.Add(24 * time.Hour)
 	w.txStations = cfg.Stations.TxStations()
+	w.txTopo = make([]frames.Topocentric, len(w.txStations))
+	for k, gs := range w.txStations {
+		w.txTopo[k] = frames.NewTopocentric(gs.Location)
+	}
 
 	w.assigns = make([]slotAssign, len(w.sats))
 	w.claims = make(map[int][]claim)
@@ -194,8 +201,8 @@ func (w *World) txVisible(i int) bool {
 	if !w.ecefs[i].OK {
 		return false
 	}
-	for _, gs := range w.txStations {
-		if frames.Look(gs.Location, w.ecefs[i].Pos).ElevationRad > gs.MinElevationRad {
+	for k, gs := range w.txStations {
+		if el, _ := w.txTopo[k].Elevation(w.ecefs[i].Pos); el > gs.MinElevationRad {
 			return true
 		}
 	}
